@@ -83,9 +83,8 @@ func (s *System) CheckInvariants() error {
 		if cs.Hits > cs.Accesses {
 			errs = append(errs, fmt.Errorf("coherence: hits %d exceed accesses %d", cs.Hits, cs.Accesses))
 		}
-		ms := s.Coh.Mesh().Stats()
-		if ms.Delivered > ms.Injected {
-			errs = append(errs, fmt.Errorf("mesh: delivered %d exceeds injected %d", ms.Delivered, ms.Injected))
+		if err := s.Coh.Mesh().CheckConservation(); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

@@ -402,6 +402,37 @@ func TestInvariantsWithVBFAndDynamic(t *testing.T) {
 	}
 }
 
+// TestMeshConservationAcrossWarmup pins the exact mesh conservation
+// invariant on the coherent machine. Messages in flight at the warmup
+// reset are delivered after it, so a plain delivered <= injected check
+// fired on every MESI run; the mesh now records them at the reset and
+// CheckInvariants requires delivered == injected + carried - in flight.
+func TestMeshConservationAcrossWarmup(t *testing.T) {
+	for _, cores := range []int{16, 64} {
+		cfg := config.ManyCore(cores, 4)
+		cfg.WarmupCycles = 5_000
+		cfg.MeasureCycles = 10_000
+		benches := make([]string, cores)
+		for i := range benches {
+			benches[i] = "mcf"
+		}
+		sys, err := NewSystem(cfg, benches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		if sys.Coh.Mesh().Carried() == 0 {
+			t.Fatalf("%s: no message straddled the warmup reset; test exercises nothing", cfg.Name)
+		}
+		if !sys.DrainQuiesce(200_000) {
+			t.Fatalf("%s: system did not quiesce", cfg.Name)
+		}
+		if err := sys.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+	}
+}
+
 func TestUnifiedMSHRRestoresMCScaling(t *testing.T) {
 	// DESIGN.md deviation 2: with a unified MSHR file, adding memory
 	// controllers must not hurt (the banked variant may, because it

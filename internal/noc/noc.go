@@ -9,13 +9,16 @@
 //
 // The whole mesh is one sim.Ticker: all routers advance in a fixed
 // deterministic order inside Tick, link traversals are event-scheduled,
-// and the mesh sleeps whenever no message is queued or in flight. The
+// and the mesh sleeps whenever no message is queued or in flight. Tick
+// visits only routers and ports whose input queues hold a message, so
+// its cost follows the traffic rather than the mesh size. The
 // payload is opaque — the coherence layer (or any other client) owns
 // the message semantics; the mesh only moves bytes.
 package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stackedsim/internal/sim"
 )
@@ -111,6 +114,8 @@ type inPort struct {
 type router struct {
 	in      [numPorts]inPort
 	outBusy [numPorts]sim.Cycle // link busy (serializing) until this cycle
+	// occupied has bit pt set iff in[pt] holds a message.
+	occupied uint8
 }
 
 // Mesh is a W x H grid of routers. Node i sits at (i%W, i/W).
@@ -121,6 +126,13 @@ type Mesh struct {
 	handle  *sim.TickHandle
 	stats   Stats
 	queued  int // messages resident in some input queue
+	// active has bit r set iff router r has an occupied input port, so
+	// Tick visits only routers with queued messages.
+	active []uint64
+	// carried is the number of messages in flight at the last
+	// ResetStats: they were injected before the reset and may be
+	// delivered after it.
+	carried uint64
 
 	// Deliver receives every message that reaches its destination's
 	// local port. Must be set before traffic flows. The *Msg (and its
@@ -140,7 +152,7 @@ func New(p Params) *Mesh {
 	if p.LinkBytes < 1 || p.BufPkts < 1 {
 		panic("noc: LinkBytes and BufPkts must be positive")
 	}
-	m := &Mesh{p: p, routers: make([]router, p.W*p.H)}
+	m := &Mesh{p: p, routers: make([]router, p.W*p.H), active: make([]uint64, (p.W*p.H+63)/64)}
 	for i := range m.routers {
 		for pt := 0; pt < numPorts; pt++ {
 			m.routers[i].in[pt].q = sim.NewQueue[*Msg](0)
@@ -148,8 +160,7 @@ func New(p Params) *Mesh {
 	}
 	m.arrive = func(arg any, at sim.Cycle) {
 		msg := arg.(*Msg)
-		m.routers[msg.at].in[msg.port].q.Push(msg)
-		m.queued++
+		m.enqueue(msg.at, msg.port, msg)
 	}
 	m.eject = func(arg any, at sim.Cycle) {
 		msg := arg.(*Msg)
@@ -174,8 +185,31 @@ func (m *Mesh) SetHandle(h *sim.TickHandle) {
 // Stats returns the counters.
 func (m *Mesh) Stats() *Stats { return &m.stats }
 
-// ResetStats clears the cumulative counters (warmup boundary).
-func (m *Mesh) ResetStats() { m.stats = Stats{} }
+// ResetStats clears the cumulative counters (warmup boundary) and
+// records the messages still in flight, so CheckConservation stays
+// exact across the reset.
+func (m *Mesh) ResetStats() {
+	m.stats = Stats{}
+	m.carried = uint64(m.InFlight())
+}
+
+// Carried reports how many messages were in flight at the last
+// ResetStats (zero before the first).
+func (m *Mesh) Carried() uint64 { return m.carried }
+
+// CheckConservation reports an error unless every message injected
+// since the last ResetStats, or in flight at it, has been delivered
+// exactly once or is still in flight. A lost message makes Delivered
+// too small, a double delivery too large.
+func (m *Mesh) CheckConservation() error {
+	s := &m.stats
+	inFlight := uint64(m.InFlight())
+	if s.Delivered+inFlight != s.Injected+m.carried {
+		return fmt.Errorf("mesh: delivered %d + in flight %d != injected %d + carried over reset %d",
+			s.Delivered, inFlight, s.Injected, m.carried)
+	}
+	return nil
+}
 
 // InFlight reports messages currently queued or traversing links —
 // zero means the mesh is drained.
@@ -205,13 +239,38 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 	}
 	*msg = Msg{Src: src, Dst: dst, Bytes: bytes, Payload: payload, born: now, at: src, port: portLocal}
 	lp.reserved++
-	lp.q.Push(msg)
-	m.queued++
+	m.enqueue(src, portLocal, msg)
 	m.stats.Injected++
 	if m.handle != nil {
 		m.handle.Wake()
 	}
 	return true
+}
+
+// enqueue appends msg to input port pt of router r and marks both
+// occupied.
+func (m *Mesh) enqueue(r, pt int, msg *Msg) {
+	rt := &m.routers[r]
+	rt.in[pt].q.Push(msg)
+	rt.occupied |= 1 << pt
+	m.active[r>>6] |= 1 << (r & 63)
+	m.queued++
+}
+
+// dequeue pops the head of input port pt of router r, clearing the
+// occupancy bits it leaves empty.
+func (m *Mesh) dequeue(r, pt int) {
+	rt := &m.routers[r]
+	ip := &rt.in[pt]
+	ip.q.Pop()
+	ip.reserved--
+	m.queued--
+	if ip.q.Empty() {
+		rt.occupied &^= 1 << pt
+		if rt.occupied == 0 {
+			m.active[r>>6] &^= 1 << (r & 63)
+		}
+	}
 }
 
 // route returns the output port a message at node cur takes toward dst:
@@ -259,48 +318,54 @@ func (m *Mesh) serCycles(bytes int) sim.Cycle {
 // Tick advances every router one cycle: link arrivals land first, then
 // each router considers the head of each input port (fixed order) and
 // forwards or ejects at most one message per port.
+//
+// Only occupied ports are visited, walked in the same router-then-port
+// order as a full scan. Nothing lands in an input queue during the walk
+// (arrivals are events at least one cycle out), so each router's port
+// mask can be read once when the walk reaches it.
 func (m *Mesh) Tick(now sim.Cycle) {
 	m.events.FireDue(now)
-	for r := range m.routers {
-		rt := &m.routers[r]
-		for pt := 0; pt < numPorts; pt++ {
-			ip := &rt.in[pt]
-			msg, ok := ip.q.Peek()
-			if !ok {
-				continue
-			}
-			out := m.route(r, msg.Dst)
-			if out == portLocal {
-				ip.q.Pop()
-				ip.reserved--
-				m.queued--
-				m.events.AtCall(now+m.p.RouterLatency, m.eject, msg)
-				continue
-			}
-			if rt.outBusy[out] > now {
-				m.stats.LinkStalls++
-				continue
-			}
-			next := m.neighbor(r, out)
-			np := &m.routers[next].in[opposite[out]]
-			if np.reserved >= m.p.BufPkts {
-				m.stats.CreditStalls++
-				continue
-			}
-			ip.q.Pop()
-			ip.reserved--
-			m.queued--
-			np.reserved++
-			ser := m.serCycles(msg.Bytes)
-			rt.outBusy[out] = now + ser
-			msg.at = next
-			msg.port = opposite[out]
-			m.stats.Hops++
-			m.stats.Flits += uint64(ser)
-			m.events.AtCall(now+m.p.RouterLatency+ser+m.p.LinkLatency, m.arrive, msg)
+	for w, word := range m.active {
+		for ; word != 0; word &= word - 1 {
+			r := w<<6 | bits.TrailingZeros64(word)
+			m.tickRouter(r, now)
 		}
 	}
 	m.sched(now)
+}
+
+// tickRouter considers the head of each occupied input port of router r.
+func (m *Mesh) tickRouter(r int, now sim.Cycle) {
+	rt := &m.routers[r]
+	for ports := rt.occupied; ports != 0; ports &= ports - 1 {
+		pt := bits.TrailingZeros8(ports)
+		msg, _ := rt.in[pt].q.Peek()
+		out := m.route(r, msg.Dst)
+		if out == portLocal {
+			m.dequeue(r, pt)
+			m.events.AtCall(now+m.p.RouterLatency, m.eject, msg)
+			continue
+		}
+		if rt.outBusy[out] > now {
+			m.stats.LinkStalls++
+			continue
+		}
+		next := m.neighbor(r, out)
+		np := &m.routers[next].in[opposite[out]]
+		if np.reserved >= m.p.BufPkts {
+			m.stats.CreditStalls++
+			continue
+		}
+		m.dequeue(r, pt)
+		np.reserved++
+		ser := m.serCycles(msg.Bytes)
+		rt.outBusy[out] = now + ser
+		msg.at = next
+		msg.port = opposite[out]
+		m.stats.Hops++
+		m.stats.Flits += uint64(ser)
+		m.events.AtCall(now+m.p.RouterLatency+ser+m.p.LinkLatency, m.arrive, msg)
+	}
 }
 
 // sched picks the sleep target after a tick: the next event if the

@@ -26,11 +26,22 @@
 // Engine.SetFullTick(true) disables both fast-paths, restoring the
 // tick-everything-every-cycle behaviour; parity tests pin that the two
 // modes produce identical simulations.
+//
+// The per-cycle cost follows the work rather than the machine size. The
+// engine keeps an armed bitset of the entries that can tick at all: an
+// entry leaves it only while it sleeps until FarFuture (until woken),
+// so Step and the idle-span search visit only armed entries. An entry
+// with a finite sleep stays armed and is checked each cycle, which is
+// cheaper than re-arming it from a timer structure. Entries leave the
+// set lazily, when Step finds them sleeping until FarFuture. EventQueue
+// is a calendar ring of per-cycle buckets with a heap for events
+// outside the ring's span.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 )
 
 // Cycle is a point in simulated time, measured in CPU clock cycles.
@@ -76,6 +87,12 @@ type Engine struct {
 	entries []tickEntry
 	events  EventQueue
 
+	// armed has bit i set whenever entry i's sleep is finite; Step
+	// clears it on visiting an entry found sleeping until FarFuture.
+	// Only armed entries can tick, so Step and nextInteresting visit
+	// only these.
+	armed []uint64
+
 	// fullTick forces the seed behaviour: every component ticks every
 	// cycle, ignoring divider registration and sleep. Components keep
 	// their own edge checks, so results are identical either way; the
@@ -114,8 +131,13 @@ func (e *Engine) RegisterEvery(every, phase int, t Ticker) *TickHandle {
 	if phase < 0 || phase >= every {
 		panic(fmt.Sprintf("sim: RegisterEvery phase %d outside [0,%d)", phase, every))
 	}
+	idx := len(e.entries)
 	e.entries = append(e.entries, tickEntry{t: t, every: Cycle(every), phase: Cycle(phase)})
-	return &TickHandle{e: e, idx: len(e.entries) - 1}
+	if idx&63 == 0 {
+		e.armed = append(e.armed, 0)
+	}
+	e.armed[idx>>6] |= 1 << (idx & 63)
+	return &TickHandle{e: e, idx: idx}
 }
 
 // SetFullTick toggles the compatibility mode in which every registered
@@ -140,16 +162,20 @@ func (h *TickHandle) SleepUntil(c Cycle) {
 	if h == nil {
 		return
 	}
-	h.e.entries[h.idx].sleep = c
+	// An entry leaves the armed set lazily, when Step finds it sleeping
+	// until FarFuture, so only a finite sleep ending an unbounded one
+	// has to touch the bitset.
+	en := &h.e.entries[h.idx]
+	if en.sleep >= FarFuture && c < FarFuture {
+		h.e.armed[h.idx>>6] |= 1 << (h.idx & 63)
+	}
+	en.sleep = c
 }
 
 // Wake re-arms the component immediately: it resumes ticking on the
 // cycle currently being (or next to be) stepped.
 func (h *TickHandle) Wake() {
-	if h == nil {
-		return
-	}
-	h.e.entries[h.idx].sleep = 0
+	h.SleepUntil(0)
 }
 
 // Now reports the current cycle. During a Tick callback this is the cycle
@@ -166,23 +192,42 @@ func (e *Engine) After(d Cycle, f func()) { e.events.At(e.now+d, f) }
 // Step advances simulated time by one cycle: due events fire first, then
 // every registered ticker whose domain has an edge this cycle (and that
 // is not sleeping) runs once, in registration order.
+//
+// Only armed entries are visited. After each tick the loop re-reads the
+// live bitset word, so an entry woken mid-cycle by an earlier-registered
+// one still ticks this cycle, exactly as in a scan over every entry.
 func (e *Engine) Step() {
 	e.now++
-	e.events.FireDue(e.now)
-	for i := range e.entries {
-		en := &e.entries[i]
-		if !e.fullTick {
-			if en.sleep > e.now {
-				continue
-			}
-			if en.every > 1 && e.now%en.every != en.phase {
-				continue
-			}
+	now := e.now
+	e.events.FireDue(now)
+	if e.fullTick {
+		for i := range e.entries {
+			e.tick(&e.entries[i])
 		}
-		en.t.Tick(e.now)
-		en.ticks++
-		e.ticksDelivered++
+		return
 	}
+	// Registration never happens mid-step, so the slice headers can be
+	// held locally; the bitset words themselves are re-read live.
+	entries, armed := e.entries, e.armed
+	for w := range armed {
+		for word := armed[w]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			en := &entries[w<<6|b]
+			switch {
+			case en.sleep >= FarFuture:
+				armed[w] &^= 1 << b
+			case en.sleep <= now && (en.every == 1 || now%en.every == en.phase):
+				e.tick(en)
+			}
+			word = armed[w] & (^uint64(1) << b)
+		}
+	}
+}
+
+func (e *Engine) tick(en *tickEntry) {
+	en.t.Tick(e.now)
+	en.ticks++
+	e.ticksDelivered++
 }
 
 // TicksByComponent reports per-component delivered Tick counts, in
@@ -212,28 +257,32 @@ func (e *Engine) CyclesSkipped() uint64 { return e.cyclesSkipped }
 // sleeping entry's wake cycle rounded up to its next edge, or the
 // earliest pending event. When every component sleeps unboundedly and
 // no events are pending, it reports a far-future cycle and the caller
-// clamps the jump to its budget.
+// clamps the jump to its budget. Only armed entries are visited: an
+// entry outside the set sleeps until FarFuture and cannot bring next
+// forward.
 func (e *Engine) nextInteresting() Cycle {
 	next := FarFuture
-	for i := range e.entries {
-		en := &e.entries[i]
-		c := e.now + 1
-		if en.sleep > c {
-			c = en.sleep
-		}
-		if en.every > 1 {
-			if r := c % en.every; r != en.phase {
-				d := en.phase - r
-				if d < 0 {
-					d += en.every
-				}
-				c += d
+	for w, word := range e.armed {
+		for ; word != 0; word &= word - 1 {
+			en := &e.entries[w<<6|bits.TrailingZeros64(word)]
+			c := e.now + 1
+			if en.sleep > c {
+				c = en.sleep
 			}
-		}
-		if c < next {
-			next = c
-			if next <= e.now+1 {
-				return next
+			if en.every > 1 {
+				if r := c % en.every; r != en.phase {
+					d := en.phase - r
+					if d < 0 {
+						d += en.every
+					}
+					c += d
+				}
+			}
+			if c < next {
+				next = c
+				if next <= e.now+1 {
+					return next
+				}
 			}
 		}
 	}

@@ -33,6 +33,10 @@
 # protocol suite asserts no-lost-writeback invariants whose bookkeeping
 # (pooled messages, deferred queues, writeback buffers) would corrupt
 # subtly under reordering; the suite is required to pass under -race.
+# The benchmark module in simbench/ is outside the root module, so its
+# tests run as a separate step: they pin NewSystem's tick-registration
+# layout, which the benchmark's per-layer tick counts rely on, so a
+# change to that order fails here rather than only when benchmarking.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -50,5 +54,8 @@ go test -race ./internal/telemetry/... ./internal/sim/... ./internal/monitor/...
 
 echo "== go test -race -short ./internal/core/..."
 go test -race -short ./internal/core/...
+
+echo "== (cd simbench && GOWORK=off go test ./...)"
+(cd simbench && GOWORK=off go test ./...)
 
 echo "verify: OK"
