@@ -184,6 +184,9 @@ func (f *Fabric) Ports() []cache.Port {
 // L2 returns core c's private L2.
 func (f *Fabric) L2(c int) *PrivateL2 { return f.l2s[c] }
 
+// Dirs returns the directory banks.
+func (f *Fabric) Dirs() []*Directory { return f.dirs }
+
 // Mesh exposes the NoC (stats, digest).
 func (f *Fabric) Mesh() *noc.Mesh { return f.mesh }
 

@@ -8,13 +8,16 @@ import (
 	"stackedsim/internal/sim"
 )
 
-// dstate is a directory entry's protocol state. Entries exist only for
-// lines away from Invalid: absence from the map is I.
+// dstate is a directory entry's protocol state. A line absent from the
+// map is Invalid; process materializes it as a dirI entry, so handlers
+// always see an entry, and settle reclaims it once it is back in dirI.
 type dstate uint8
 
 const (
+	// dirI: no cached copy.
+	dirI dstate = iota
 	// dirS: one or more clean sharers (exact bitvector).
-	dirS dstate = iota + 1
+	dirS
 	// dirM: one owner holding the line E or M (MESI's E is tracked as
 	// ownership — the directory cannot tell whether the owner wrote).
 	dirM
@@ -32,25 +35,11 @@ const (
 
 func (s dstate) busy() bool { return s >= trBusyMemS }
 
-func (s dstate) String() string {
-	switch s {
-	case dirS:
-		return "S"
-	case dirM:
-		return "M"
-	case trBusyMemS:
-		return "BusyMemS"
-	case trBusyMemM:
-		return "BusyMemM"
-	case trBusyInv:
-		return "BusyInv"
-	case trBusyFwdS:
-		return "BusyFwdS"
-	}
-	return "I"
-}
+var dstateNames = [...]string{"I", "S", "M", "BusyMemS", "BusyMemM", "BusyInv", "BusyFwdS"}
 
-// dirEntry tracks one line away from Invalid.
+func (s dstate) String() string { return dstateNames[s] }
+
+// dirEntry tracks one line's protocol state.
 type dirEntry struct {
 	state    dstate
 	owner    int      // dirM / trBusyFwdS
@@ -65,8 +54,7 @@ type dirEntry struct {
 	deferred []*message
 }
 
-func (e *dirEntry) setSharer(c int)   { e.sharers[c/64] |= 1 << (c % 64) }
-func (e *dirEntry) clearSharer(c int) { e.sharers[c/64] &^= 1 << (c % 64) }
+func (e *dirEntry) setSharer(c int) { e.sharers[c/64] |= 1 << (c % 64) }
 func (e *dirEntry) isSharer(c int) bool {
 	return e.sharers[c/64]&(1<<(c%64)) != 0
 }
@@ -119,8 +107,8 @@ type Directory struct {
 	lines map[mem.Addr]*dirEntry
 
 	inbox  *sim.Queue[*message]
-	out    []outMsg        // mesh-rejected responses, retried in order
-	outq   []*mem.Request  // MC-rejected memory requests, retried in order
+	out    []outMsg       // mesh-rejected responses, retried in order
+	outq   []*mem.Request // MC-rejected memory requests, retried in order
 	events sim.EventQueue
 	handle *sim.TickHandle
 
@@ -158,27 +146,26 @@ func (d *Directory) setHandle(h *sim.TickHandle) {
 	h.SleepUntil(sim.FarFuture)
 }
 
-// EntryState reports a line's directory state ("I" when absent) — test
-// hook for the protocol suite.
-func (d *Directory) EntryState(line mem.Addr) string {
-	if e, ok := d.lines[line]; ok {
-		return e.state.String()
+// Backlog counts the work this bank holds: messages queued, in the
+// lookup pipeline or awaiting a retry, and lines busy or holding
+// deferred requests.
+func (d *Directory) Backlog() (msgs, lines int) {
+	for _, e := range d.lines {
+		if e.state.busy() || len(e.deferred) > 0 {
+			lines++
+		}
 	}
-	return "I"
+	return d.inbox.Len() + d.events.Len() + len(d.out) + len(d.outq), lines
 }
 
+// newEntry takes a pooled entry or makes one. Pooled entries need no
+// reset: settle pools only dirI entries, which hold no owner, sharer,
+// request or queued message.
 func (d *Directory) newEntry() *dirEntry {
 	if n := len(d.freeEntry); n > 0 {
 		e := d.freeEntry[n-1]
 		d.freeEntry[n-1] = nil
 		d.freeEntry = d.freeEntry[:n-1]
-		e.state = 0
-		e.owner = -1
-		e.acksLeft = 0
-		e.req = nil
-		e.reqWasSharer = false
-		e.clearSharers()
-		e.deferred = e.deferred[:0]
 		return e
 	}
 	return &dirEntry{owner: -1, sharers: make([]uint64, (d.f.cfg.Cores+63)/64)}
@@ -311,62 +298,67 @@ func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 	line := r.Line
 	e, ok := d.lines[line]
 	if !ok || (e.state != trBusyMemS && e.state != trBusyMemM) {
-		panic(fmt.Sprintf("coherence: dir%d memory read for line %#x in state %s", d.id, uint64(line), d.EntryState(line)))
+		panic(fmt.Sprintf("coherence: dir%d memory read for line %#x outside a memory wait", d.id, uint64(line)))
 	}
 	req := e.req
 	e.req = nil
-	switch e.state {
-	case trBusyMemS:
-		if e.sharerCount() == 0 {
-			// No sharers: MESI's E grant. Tracked as ownership.
-			d.stats.DataE++
-			e.state = dirM
-			e.owner = req.from
-			grant := d.f.newMsg(mDataE, line, d.node)
-			grant.tag = req.tag
-			d.inject(grant, req.from, now)
-		} else {
-			d.stats.DataS++
-			e.state = dirS
-			e.setSharer(req.from)
-			grant := d.f.newMsg(mData, line, d.node)
-			grant.tag = req.tag
-			d.inject(grant, req.from, now)
-		}
-	case trBusyMemM:
+	kind, excl := mDataE, e.state == trBusyMemM
+	if !excl && e.sharerCount() > 0 {
+		d.stats.DataS++
+		kind = mData
+		e.state = dirS
+		e.setSharer(req.from)
+	} else {
+		// A GetM, or a GetS with no sharers (MESI's E grant): both are
+		// tracked as ownership.
 		d.stats.DataE++
 		e.state = dirM
 		e.owner = req.from
 		e.clearSharers()
-		grant := d.f.newMsg(mDataE, line, d.node)
-		grant.excl = true
-		grant.tag = req.tag
-		d.inject(grant, req.from, now)
 	}
+	grant := d.f.newMsg(kind, line, d.node)
+	grant.excl = excl
+	grant.tag = req.tag
+	d.inject(grant, req.from, now)
 	d.f.putMsg(req)
 	d.settle(line, e, now)
 }
 
-// settle replays the first deferred request now that the line is
-// stable, and reclaims entries that returned to Invalid.
-func (d *Directory) settle(line mem.Addr, e *dirEntry, now sim.Cycle) {
-	if len(e.deferred) > 0 {
-		m := e.deferred[0]
-		copy(e.deferred, e.deferred[1:])
-		e.deferred[len(e.deferred)-1] = nil
-		e.deferred = e.deferred[:len(e.deferred)-1]
-		d.process(m, now)
-		return
+// process handles one protocol message at this bank: it looks the line
+// up once, materializing an absent line as a dirI entry, hands the
+// message to its handler, then settles the line.
+func (d *Directory) process(m *message, now sim.Cycle) {
+	e, ok := d.lines[m.line]
+	if !ok {
+		e = d.newEntry()
+		d.lines[m.line] = e
 	}
-	if e.state == 0 {
+	d.dispatch(m, e, now)
+	d.settle(m.line, e, now)
+}
+
+// settle is the only place deferred requests are replayed, and it runs
+// after every message and memory completion. While the line is stable
+// it replays them in arrival order; one that makes the line busy stops
+// the replay until that transaction completes and settles again. A line
+// back in dirI (its queue necessarily empty) is reclaimed.
+func (d *Directory) settle(line mem.Addr, e *dirEntry, now sim.Cycle) {
+	for !e.state.busy() && len(e.deferred) > 0 {
+		m := e.deferred[0]
+		n := copy(e.deferred, e.deferred[1:])
+		e.deferred[n] = nil
+		e.deferred = e.deferred[:n]
+		d.dispatch(m, e, now)
+	}
+	if e.state == dirI {
 		delete(d.lines, line)
 		d.releaseEntry(e)
 	}
 }
 
-// process handles one protocol message at this bank.
-func (d *Directory) process(m *message, now sim.Cycle) {
-	e := d.lines[m.line]
+// dispatch runs a message's handler. Handlers only move the entry
+// between states; none replays the deferred queue.
+func (d *Directory) dispatch(m *message, e *dirEntry, now sim.Cycle) {
 	switch m.kind {
 	case mGetS:
 		d.getS(m, e, now)
@@ -390,21 +382,13 @@ func (d *Directory) defer_(m *message, e *dirEntry) {
 }
 
 func (d *Directory) getS(m *message, e *dirEntry, now sim.Cycle) {
-	switch {
-	case e == nil:
-		e = d.newEntry()
-		d.lines[m.line] = e
+	switch e.state {
+	case dirI, dirS:
+		// Memory is clean in I and S; the data comes from DRAM.
 		e.state = trBusyMemS
 		e.req = m
 		d.memRead(m, now)
-	case e.state.busy():
-		d.defer_(m, e)
-	case e.state == dirS:
-		// Memory is clean in S; the data still comes from DRAM.
-		e.state = trBusyMemS
-		e.req = m
-		d.memRead(m, now)
-	case e.state == dirM:
+	case dirM:
 		d.stats.FwdGetS++
 		e.state = trBusyFwdS
 		e.req = m
@@ -412,20 +396,18 @@ func (d *Directory) getS(m *message, e *dirEntry, now sim.Cycle) {
 		fwd.requester = m.from
 		fwd.tag = m.tag
 		d.inject(fwd, e.owner, now)
+	default:
+		d.defer_(m, e)
 	}
 }
 
 func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
-	switch {
-	case e == nil:
-		e = d.newEntry()
-		d.lines[m.line] = e
+	switch e.state {
+	case dirI:
 		e.state = trBusyMemM
 		e.req = m
 		d.memRead(m, now)
-	case e.state.busy():
-		d.defer_(m, e)
-	case e.state == dirS:
+	case dirS:
 		wasSharer := e.isSharer(m.from)
 		others := e.sharerCount()
 		if wasSharer {
@@ -434,7 +416,6 @@ func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
 		if others == 0 {
 			// Sole sharer upgrading: grant immediately.
 			d.grantAckM(m, e, now)
-			d.settle(m.line, e, now)
 			return
 		}
 		e.state = trBusyInv
@@ -448,7 +429,7 @@ func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
 				d.inject(inv, c, now)
 			}
 		}
-	case e.state == dirM:
+	case dirM:
 		// Forward-and-forget: ownership moves to the requester now;
 		// the old owner serves the data (from cache or its writeback
 		// buffer) without further directory involvement.
@@ -459,6 +440,8 @@ func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
 		d.inject(fwd, e.owner, now)
 		e.owner = m.from
 		d.f.putMsg(m)
+	default:
+		d.defer_(m, e)
 	}
 }
 
@@ -476,16 +459,15 @@ func (d *Directory) grantAckM(m *message, e *dirEntry, now sim.Cycle) {
 
 func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
 	switch {
-	case e != nil && e.state == dirM && e.owner == m.from:
+	case e.state == dirM && e.owner == m.from:
 		// The owner's eviction: write the data, retire the line.
 		if !m.clean {
 			d.memWrite(m.line, now)
 		}
-		e.state = 0
+		e.state = dirI
 		e.owner = -1
 		d.ackWB(m, now)
-		d.settle(m.line, e, now)
-	case e != nil && e.state == trBusyFwdS && e.owner == m.from:
+	case e.state == trBusyFwdS && e.owner == m.from:
 		// Writeback race: our FwdGetS crossed the owner's eviction.
 		// The owner serves the requester from its writeback buffer,
 		// and this PutM doubles as the demotion data — the evicted
@@ -502,8 +484,7 @@ func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
 		e.setSharer(req.from)
 		d.f.putMsg(req)
 		d.ackWB(m, now)
-		d.settle(m.line, e, now)
-	case e != nil && e.state.busy():
+	case e.state.busy():
 		d.defer_(m, e)
 	default:
 		// Stale PutM: the sender lost ownership before the eviction
@@ -512,7 +493,7 @@ func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
 		// freshest copy, so it reaches memory; under dirM the new
 		// owner's copy supersedes it and the data is dropped.
 		d.stats.StalePutM++
-		if !m.clean && (e == nil || e.state == dirS) {
+		if !m.clean && e.state != dirM {
 			d.memWrite(m.line, now)
 		}
 		d.ackWB(m, now)
@@ -529,8 +510,8 @@ func (d *Directory) ackWB(m *message, now sim.Cycle) {
 
 func (d *Directory) invAck(m *message, e *dirEntry, now sim.Cycle) {
 	d.stats.InvAcks++
-	if e == nil || e.state != trBusyInv {
-		panic(fmt.Sprintf("coherence: dir%d InvAck for line %#x in state %s", d.id, uint64(m.line), d.EntryState(m.line)))
+	if e.state != trBusyInv {
+		panic(fmt.Sprintf("coherence: dir%d InvAck for line %#x in state %s", d.id, uint64(m.line), e.state))
 	}
 	d.f.putMsg(m)
 	e.acksLeft--
@@ -542,7 +523,6 @@ func (d *Directory) invAck(m *message, e *dirEntry, now sim.Cycle) {
 		// The requester held the data in S all along: upgrade.
 		e.req = nil
 		d.grantAckM(req, e, now)
-		d.settle(m.line, e, now)
 		return
 	}
 	// The requester never had the data (its S copy was evicted, or it
@@ -552,8 +532,8 @@ func (d *Directory) invAck(m *message, e *dirEntry, now sim.Cycle) {
 }
 
 func (d *Directory) wbData(m *message, e *dirEntry, now sim.Cycle) {
-	if e == nil || e.state != trBusyFwdS {
-		panic(fmt.Sprintf("coherence: dir%d WBData for line %#x in state %s", d.id, uint64(m.line), d.EntryState(m.line)))
+	if e.state != trBusyFwdS {
+		panic(fmt.Sprintf("coherence: dir%d WBData for line %#x in state %s", d.id, uint64(m.line), e.state))
 	}
 	if m.dirty {
 		d.memWrite(m.line, now)
@@ -567,5 +547,4 @@ func (d *Directory) wbData(m *message, e *dirEntry, now sim.Cycle) {
 	e.owner = -1
 	d.f.putMsg(req)
 	d.f.putMsg(m)
-	d.settle(m.line, e, now)
 }

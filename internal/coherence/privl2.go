@@ -138,9 +138,6 @@ func (p *PrivateL2) setHandle(h *sim.TickHandle) {
 	h.SleepUntil(sim.FarFuture)
 }
 
-// State reports a line's stable state (0 = Invalid) — test hook.
-func (p *PrivateL2) State(line mem.Addr) pstate { return p.states[line] }
-
 // OutstandingMisses reports live miss-table entries — test hook.
 func (p *PrivateL2) OutstandingMisses() int { return len(p.misses) }
 
@@ -512,9 +509,11 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 	p.releaseMiss(miss)
 }
 
-// drainFwds replays forwards that arrived before the fill they depend
-// on. The directory serializes per line, so at most one forward can be
-// pending; the loop is for form.
+// drainFwds replays, in arrival order, forwards that arrived before the
+// fill they depend on. The protocol parks at most one per miss: after a
+// FwdGetM this core cannot own the line again while its miss is open,
+// and a FwdGetS keeps the line busy at the directory until this core's
+// WBData.
 func (p *PrivateL2) drainFwds(miss *pl2Miss, now sim.Cycle) {
 	for len(miss.fwds) > 0 {
 		fm := miss.fwds[0]

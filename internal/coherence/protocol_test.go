@@ -10,6 +10,17 @@ import (
 	"stackedsim/internal/sim"
 )
 
+// EntryState reports a line's directory state ("I" when absent).
+func (d *Directory) EntryState(line mem.Addr) string {
+	if e, ok := d.lines[line]; ok {
+		return e.state.String()
+	}
+	return "I"
+}
+
+// State reports a line's stable state (0 = Invalid).
+func (p *PrivateL2) State(line mem.Addr) pstate { return p.states[line] }
+
 // testMC is a fixed-latency memory stand-in behind one directory bank.
 type testMC struct {
 	events  sim.EventQueue
@@ -290,6 +301,31 @@ func TestOwnershipTransfersCacheToCache(t *testing.T) {
 	// The dirty line moved core-to-core without touching memory.
 	if r.mcs[0].reads != 1 || r.mcs[0].writes != 0 {
 		t.Errorf("memory traffic = %d reads / %d writes, want 1/0", r.mcs[0].reads, r.mcs[0].writes)
+	}
+}
+
+// TestDeferredQueueDrainsBehindForwardAndForget queues B's GetM and C's
+// GetS behind A's memory read. Replaying B's GetM forwards it and
+// leaves the line stable in M, so C's GetS must replay in the same
+// settle rather than wait for a later request to the line.
+func TestDeferredQueueDrainsBehindForwardAndForget(t *testing.T) {
+	r := newRig(t, 4, 1)
+	doneA := r.access(0, 1, line0, true)
+	doneB := r.access(1, 8, line0, true)
+	doneC := r.access(2, 16, line0, false)
+	r.run(2000)
+	if !*doneA || !*doneB || !*doneC {
+		t.Fatalf("accesses stuck: A=%v B=%v C=%v", *doneA, *doneB, *doneC)
+	}
+	d := r.f.dirs[0]
+	if got := d.Stats().Deferred; got != 2 {
+		t.Errorf("deferred requests = %d, want 2 (B and C behind A)", got)
+	}
+	if msgs, lines := d.Backlog(); msgs != 0 || lines != 0 {
+		t.Errorf("bank not idle: %d messages, %d busy or deferred lines", msgs, lines)
+	}
+	if st := d.EntryState(line0); st != "S" {
+		t.Errorf("directory state = %s, want S (B demoted, C shares)", st)
 	}
 }
 

@@ -3,7 +3,78 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"stackedsim/internal/memctrl"
 )
+
+// held is one component still holding work: n items of the named kind
+// in component who (id < 0 for singletons).
+type held struct {
+	who  string
+	id   int
+	n    int
+	what string
+}
+
+func (h held) String() string {
+	if h.id < 0 {
+		return fmt.Sprintf("%s holds %d %s", h.who, h.n, h.what)
+	}
+	return fmt.Sprintf("%s %d holds %d %s", h.who, h.id, h.n, h.what)
+}
+
+// outstanding yields every component that still holds work. It is the
+// one definition of "quiet" that DrainQuiesce waits for and
+// CheckInvariants reports on. Directory banks come last: their line
+// scan is the only check whose cost grows with the machine's state, and
+// a caller that stops at the first yield usually skips it.
+func (s *System) outstanding(yield func(held) bool) {
+	more := true
+	see := func(who string, id, n int, what string) {
+		if more && n != 0 {
+			more = yield(held{who, id, n, what})
+		}
+	}
+	if s.L2 != nil {
+		for i, f := range s.L2.MSHRBanks() {
+			see("mshr bank", i, f.Len(), "entries")
+		}
+	}
+	if s.Coh != nil {
+		for c := 0; c < s.Cfg.Cores; c++ {
+			see("private L2", c, s.Coh.L2(c).OutstandingMisses(), "outstanding misses")
+			see("private L2", c, s.Coh.L2(c).WritebacksInFlight(), "unacknowledged writebacks")
+		}
+		see("mesh", -1, s.Coh.Mesh().InFlight(), "packets")
+	}
+	for i, l1 := range s.L1s {
+		see("L1", i, l1.OutstandingMisses(), "outstanding misses")
+	}
+	for i, il1 := range s.IL1s {
+		see("IL1", i, il1.OutstandingMisses(), "outstanding misses")
+	}
+	seeMC := func(mc *memctrl.Controller) {
+		see("mc", mc.ID(), mc.QueueLen(), "requests in the MRQ")
+		see("mc", mc.ID(), mc.InFlight(), "completions in flight")
+	}
+	for _, mc := range s.MCs {
+		seeMC(mc)
+	}
+	if s.Stack != nil {
+		see("stack cache", -1, s.Stack.Outstanding(), "fetches and retries")
+		seeMC(s.Backing)
+	}
+	if s.Coh != nil {
+		for i, d := range s.Coh.Dirs() {
+			if !more {
+				return
+			}
+			msgs, lines := d.Backlog()
+			see("directory", i, msgs, "queued messages")
+			see("directory", i, lines, "busy or deferred lines")
+		}
+	}
+}
 
 // CheckInvariants validates cross-component bookkeeping after a run has
 // quiesced (call after DrainQuiesce or at any point where no request
@@ -12,14 +83,11 @@ import (
 // model hardware.
 func (s *System) CheckInvariants() error {
 	var errs []error
-
-	// Every L2 MSHR entry should eventually drain once cores stop
-	// issuing; outstanding entries after quiesce are leaks.
+	for h := range s.outstanding {
+		errs = append(errs, fmt.Errorf("%v after quiesce", h))
+	}
 	if s.L2 != nil {
 		for i, f := range s.L2.MSHRBanks() {
-			if n := f.Len(); n != 0 {
-				errs = append(errs, fmt.Errorf("mshr bank %d holds %d entries after quiesce", i, n))
-			}
 			st := f.Stats()
 			// Entries allocated during warmup may release after the stats
 			// reset, so releases can exceed allocs; fewer releases than
@@ -29,43 +97,12 @@ func (s *System) CheckInvariants() error {
 			}
 		}
 	}
-	if s.Coh != nil {
-		// Private L2 miss tables and writeback buffers must drain, and
-		// no coherence message may be stuck in the mesh.
-		for c := 0; c < s.Cfg.Cores; c++ {
-			if n := s.Coh.L2(c).OutstandingMisses(); n != 0 {
-				errs = append(errs, fmt.Errorf("private L2 %d holds %d outstanding misses after quiesce", c, n))
-			}
-			if n := s.Coh.L2(c).WritebacksInFlight(); n != 0 {
-				errs = append(errs, fmt.Errorf("private L2 %d holds %d unacknowledged writebacks after quiesce", c, n))
-			}
-		}
-		if n := s.Coh.Mesh().InFlight(); n != 0 {
-			errs = append(errs, fmt.Errorf("mesh holds %d packets after quiesce", n))
-		}
-	}
-	// L1 MSHRs must also be empty.
-	for i, l1 := range s.L1s {
-		if n := l1.OutstandingMisses(); n != 0 {
-			errs = append(errs, fmt.Errorf("L1 %d holds %d outstanding misses after quiesce", i, n))
-		}
-	}
-	for i, il1 := range s.IL1s {
-		if n := il1.OutstandingMisses(); n != 0 {
-			errs = append(errs, fmt.Errorf("IL1 %d holds %d outstanding misses after quiesce", i, n))
-		}
-	}
-	// Memory controllers: everything submitted was completed, queues
-	// empty.
 	for _, mc := range s.MCs {
 		st := mc.Stats()
 		// Warmup stragglers can complete after the reset (completed >
 		// scheduled); completions falling short means requests vanished.
 		if st.Completed < st.Reads+st.Writes {
 			errs = append(errs, fmt.Errorf("mc%d: %d scheduled but only %d completed", mc.ID(), st.Reads+st.Writes, st.Completed))
-		}
-		if n := mc.QueueLen(); n != 0 {
-			errs = append(errs, fmt.Errorf("mc%d: %d requests stuck in the MRQ", mc.ID(), n))
 		}
 		if st.RowHits > st.Reads+st.Writes {
 			errs = append(errs, fmt.Errorf("mc%d: more row hits (%d) than accesses (%d)", mc.ID(), st.RowHits, st.Reads+st.Writes))
@@ -91,7 +128,7 @@ func (s *System) CheckInvariants() error {
 }
 
 // DrainQuiesce halts every core's front end and runs the machine until
-// all in-flight memory traffic drains or maxCycles elapse. It reports
+// nothing holds outstanding work or maxCycles elapse. It reports
 // whether the system quiesced (after which CheckInvariants is
 // meaningful).
 func (s *System) DrainQuiesce(maxCycles int64) bool {
@@ -99,46 +136,15 @@ func (s *System) DrainQuiesce(maxCycles int64) bool {
 		c.FlushIdle(s.Engine.Now())
 		c.Halt()
 	}
-	quiet := func() bool {
-		if s.L2 != nil {
-			for _, f := range s.L2.MSHRBanks() {
-				if f.Len() != 0 {
-					return false
-				}
-			}
+	for i := int64(0); ; i++ {
+		quiet := true
+		for range s.outstanding {
+			quiet = false
+			break
 		}
-		if s.Coh != nil {
-			for c := 0; c < s.Cfg.Cores; c++ {
-				if s.Coh.L2(c).OutstandingMisses() != 0 || s.Coh.L2(c).WritebacksInFlight() != 0 {
-					return false
-				}
-			}
-			if s.Coh.Mesh().InFlight() != 0 {
-				return false
-			}
-		}
-		for _, l1 := range s.L1s {
-			if l1.OutstandingMisses() != 0 {
-				return false
-			}
-		}
-		for _, il1 := range s.IL1s {
-			if il1.OutstandingMisses() != 0 {
-				return false
-			}
-		}
-		for _, mc := range s.MCs {
-			if mc.QueueLen() != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for i := int64(0); i < maxCycles; i++ {
-		if quiet() {
-			return true
+		if quiet || i == maxCycles {
+			return quiet
 		}
 		s.Engine.Step()
 	}
-	return quiet()
 }

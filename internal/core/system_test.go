@@ -370,35 +370,71 @@ func TestFigureCSV(t *testing.T) {
 	}
 }
 
+// TestInvariantsAfterQuiesce runs each machine shape, drains it and
+// checks that nothing still holds work and the accounting balances:
+// the shared-L2 organizations (including VBF MSHRs with dynamic
+// resizing and a unified MSHR file), the stack-cache layer in both
+// modes, and the coherent mesh under every sharing pattern.
 func TestInvariantsAfterQuiesce(t *testing.T) {
-	for _, mk := range []func() *config.Config{config.Baseline2D, config.QuadMC} {
-		cfg := short(mk())
-		sys, err := NewSystem(cfg, []string{"S.all", "mcf", "qsort", "gzip"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Run()
-		if !sys.DrainQuiesce(2_000_000) {
-			t.Fatalf("%s: system did not quiesce", cfg.Name)
-		}
-		if err := sys.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+	type row struct {
+		cfg     *config.Config
+		benches []string
+	}
+	mix := []string{"S.all", "mcf", "qsort", "gzip"}
+	unified := short(config.QuadMC())
+	unified.MSHRUnified = true
+	unified.Name += "-unified"
+	rows := []row{
+		{short(config.Baseline2D()), mix},
+		{short(config.QuadMC()), mix},
+		{short(config.DualMC().WithMSHR(8, config.MSHRVBF, true)), []string{"tigr", "libquantum", "qsort", "soplex"}},
+		{unified, []string{"S.all", "tigr", "mcf", "qsort"}},
+		{short(config.Fast3D().WithStackCache(config.StackCache, 1)), mix},
+		{short(config.Fast3D().WithStackCache(config.StackMemCache, 1)), mix},
+	}
+	for _, cores := range []int{16, 64} {
+		for _, bench := range []string{"producer-consumer", "lock-contended", "read-mostly-shared", "mcf"} {
+			cfg := config.ManyCore(cores, 4)
+			cfg.WarmupCycles = 20_000
+			cfg.MeasureCycles = 100_000
+			cfg.Name += "-" + bench
+			benches := make([]string, cores)
+			for i := range benches {
+				benches[i] = bench
+			}
+			rows = append(rows, row{cfg, benches})
 		}
 	}
-}
-
-func TestInvariantsWithVBFAndDynamic(t *testing.T) {
-	cfg := short(config.DualMC().WithMSHR(8, config.MSHRVBF, true))
-	sys, err := NewSystem(cfg, []string{"tigr", "libquantum", "qsort", "soplex"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run()
-	if !sys.DrainQuiesce(2_000_000) {
-		t.Fatal("system did not quiesce")
-	}
-	if err := sys.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, r := range rows {
+		t.Run(r.cfg.Name, func(t *testing.T) {
+			if testing.Short() && r.cfg.Cores >= 64 {
+				t.Skip("64-core rows skipped in -short mode")
+			}
+			sys, err := NewSystem(r.cfg, r.benches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Run()
+			if !sys.DrainQuiesce(2_000_000) {
+				t.Fatalf("system did not quiesce: %v", sys.CheckInvariants())
+			}
+			if err := sys.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			// DrainQuiesce walks the machine every cycle; on a quiet
+			// machine that walk must not allocate.
+			if n := testing.AllocsPerRun(10, func() {
+				for range sys.outstanding {
+				}
+			}); n != 0 {
+				t.Errorf("outstanding-work walk allocates %.0f times on a quiet machine", n)
+			}
+			if r.cfg.MSHRUnified {
+				if got := len(sys.L2.MSHRBanks()); got != 1 {
+					t.Fatalf("unified system has %d MSHR banks, want 1", got)
+				}
+			}
+		})
 	}
 }
 
@@ -453,26 +489,6 @@ func TestUnifiedMSHRRestoresMCScaling(t *testing.T) {
 	}
 	if s4 < s1*0.98 {
 		t.Fatalf("unified 4MC (%.3f) fell below 1MC (%.3f)", s4, s1)
-	}
-}
-
-func TestUnifiedMSHRInvariants(t *testing.T) {
-	cfg := short(config.QuadMC())
-	cfg.MSHRUnified = true
-	cfg.Name = cfg.Name + "-unified"
-	sys, err := NewSystem(cfg, []string{"S.all", "tigr", "mcf", "qsort"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run()
-	if !sys.DrainQuiesce(2_000_000) {
-		t.Fatal("unified-MSHR system did not quiesce")
-	}
-	if err := sys.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sys.L2.MSHRBanks()); got != 1 {
-		t.Fatalf("unified system has %d MSHR banks, want 1", got)
 	}
 }
 

@@ -147,6 +147,9 @@ func (c *Controller) SetFaults(v *fault.MCView) { c.flt = v }
 // QueueLen reports the current MRQ occupancy.
 func (c *Controller) QueueLen() int { return c.queue.Len() }
 
+// InFlight counts scheduled requests whose completion has not fired.
+func (c *Controller) InFlight() int { return c.done.Len() }
+
 // Instrument registers the controller's metrics under "mc<id>.*" and
 // attaches the tracer: MRQ depth as a live gauge, cumulative
 // read/write/row-hit/reject counts, and the queueing-delay

@@ -496,13 +496,12 @@ func (l *Layer) ResetStats() {
 	l.tags.ResetStats()
 }
 
-// Debug summarizes live layer state for diagnostics.
-func (l *Layer) Debug() string {
-	s := fmt.Sprintf("stackcache{mode=%s pending=%d backQ=%d", l.mode, len(l.pending), len(l.backQ))
-	for mc, q := range l.stackQ {
-		if len(q) > 0 {
-			s += fmt.Sprintf(" stackQ%d=%d", mc, len(q))
-		}
+// Outstanding counts the work the layer holds: in-flight block fetches,
+// delayed tag decisions and requests awaiting an MRQ retry.
+func (l *Layer) Outstanding() int {
+	n := len(l.pending) + l.events.Len() + len(l.backQ)
+	for _, q := range l.stackQ {
+		n += len(q)
 	}
-	return s + "}"
+	return n
 }

@@ -120,7 +120,7 @@ func (rg *rig) settle(t *testing.T, budget sim.Cycle) {
 			return
 		}
 	}
-	t.Fatalf("layer did not settle in %d cycles: %s", budget, rg.l.Debug())
+	t.Fatalf("layer did not settle in %d cycles: %d items outstanding", budget, rg.l.Outstanding())
 }
 
 func TestSRAMMissFillsThenHits(t *testing.T) {
